@@ -1,7 +1,7 @@
 //===- bench/bench_micro_infra.cpp - Infrastructure microbenchmarks ---------===//
 //
 // google-benchmark measurements of the scheduling infrastructure itself:
-// recMII computation, MinDist matrices, graph partitioning, modulo
+// recMII computation, per-edge slack analysis, graph partitioning, modulo
 // scheduling, the pipelined simulator, and the full per-program
 // pipeline. These are the costs a compiler integrating the technique
 // would pay at -O3.
@@ -11,7 +11,7 @@
 #include "BenchHarness.h"
 
 #include "core/HeterogeneousPipeline.h"
-#include "ir/MinDist.h"
+#include "ir/EdgeSlack.h"
 #include "ir/RecurrenceAnalysis.h"
 #include "partition/LoopScheduler.h"
 #include "vliwsim/PipelinedSimulator.h"
@@ -40,16 +40,24 @@ static void BM_RecMII(benchmark::State &State) {
 }
 BENCHMARK(BM_RecMII)->Arg(16)->Arg(48)->Arg(96);
 
-static void BM_MinDist(benchmark::State &State) {
-  Loop L = benchLoop(static_cast<unsigned>(State.range(0)));
+// The coarsening slack analysis on the big-loop fixture family, the
+// only inputs large enough for its cost to matter. "relaxations" is
+// the analysis's deterministic work counter.
+static void BM_EdgeSlack(benchmark::State &State) {
+  Loop L = makeUnrolledKernelLoop("bench",
+                                  static_cast<unsigned>(State.range(0)));
   DDG G = DDG::build(L);
   MachineDescription M = MachineDescription::paperDefault();
   auto Lat = M.Isa.nodeLatencies(L);
   int64_t II = std::max<int64_t>(1, computeRecMII(G, Lat));
+  std::vector<int64_t> Slack;
+  EdgeSlackScratch Scratch;
+  uint64_t Relaxations = 0;
   for (auto _ : State)
-    benchmark::DoNotOptimize(MinDistMatrix::compute(G, Lat, II));
+    Relaxations = computeEdgeSlackInto(Slack, G, Lat, II, &Scratch);
+  State.counters["relaxations"] = static_cast<double>(Relaxations);
 }
-BENCHMARK(BM_MinDist)->Arg(16)->Arg(48)->Arg(96);
+BENCHMARK(BM_EdgeSlack)->Arg(96)->Arg(384)->Arg(1536);
 
 static void BM_ScheduleLoop(benchmark::State &State) {
   Loop L = benchLoop(static_cast<unsigned>(State.range(0)));

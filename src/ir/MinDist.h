@@ -1,56 +1,39 @@
-//===- ir/MinDist.h - Modulo-scheduling distance matrix ---------*- C++ -*-===//
+//===- ir/MinDist.h - Deprecated slack-matrix entry point -------*- C++ -*-===//
 ///
 /// \file
-/// The classic MinDist matrix of modulo scheduling: for a candidate II,
-/// MinDist(i, j) is the longest-path weight from i to j under edge
-/// weights latency(e) - II * distance(e). If i and j are both scheduled,
-/// start(j) - start(i) >= MinDist(i, j) must hold. The scheduler uses it
-/// for priority heights and slack; the partitioner for coarsening order.
+/// Source compatibility for callers written against the former
+/// all-pairs MinDist matrix (Floyd-Warshall, O(N^3) time and an N x N
+/// buffer). Its only library reader, the partitioner's coarsening
+/// order, used the matrix's cells at the DDG edges alone, so the
+/// library now computes exactly those values with computeEdgeSlackInto
+/// (ir/EdgeSlack.h). MinDistMatrix::compute keeps the old call
+/// working: it holds that per-edge slack and can still be passed as
+/// PartitionContext::SlackMatrix. New code should use ir/EdgeSlack.h.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef HCVLIW_IR_MINDIST_H
 #define HCVLIW_IR_MINDIST_H
 
-#include "ir/DDG.h"
-
-#include <cstdint>
-#include <vector>
+#include "ir/EdgeSlack.h"
 
 namespace hcvliw {
 
 class MinDistMatrix {
-  unsigned N = 0;
-  std::vector<int64_t> Data; // row-major, NegInf when unreachable
+  std::vector<int64_t> Slack;
 
 public:
-  static constexpr int64_t NegInf = INT64_MIN / 4;
-
-  /// Floyd-Warshall longest paths; \p II must be >= recMII so that no
-  /// positive self-distance exists (asserted).
+  /// The per-edge slack of \p G at \p II (>= recMII).
   static MinDistMatrix compute(const DDG &G,
                                const std::vector<unsigned> &NodeLatency,
-                               int64_t II);
-
-  /// In-place form of compute: reuses \p M's O(N^2) buffer (callers
-  /// recomputing per II attempt pass one scratch matrix instead of
-  /// reallocating every time).
-  static void computeInto(MinDistMatrix &M, const DDG &G,
-                          const std::vector<unsigned> &NodeLatency,
-                          int64_t II);
-
-  unsigned size() const { return N; }
-  int64_t at(unsigned I, unsigned J) const { return Data[I * N + J]; }
-  bool reaches(unsigned I, unsigned J) const {
-    return at(I, J) != NegInf;
+                               int64_t II) {
+    MinDistMatrix M;
+    computeEdgeSlackInto(M.Slack, G, NodeLatency, II);
+    return M;
   }
 
-  /// Longest-path height of node I over all reachable J (>= 0).
-  int64_t height(unsigned I) const;
-
-  /// Slack between I and J given their schedule-time difference bound:
-  /// II - MinDist(i,j) - MinDist(j,i) style freedom; NegInf-aware.
-  int64_t slack(unsigned I, unsigned J, int64_t II) const;
+  /// One value per DDG edge, indexed like DDG::edges().
+  const std::vector<int64_t> &edgeSlack() const { return Slack; }
 };
 
 } // namespace hcvliw

@@ -121,13 +121,12 @@ LoopScheduler::schedule(const Loop &L, const EnergyModel *Energy,
   DDG::buildInto(S.G, L);
   Machine.Isa.nodeLatenciesInto(S.Lat, L);
 
-  // Recurrence analysis + coarsening slack matrix: IT-independent pure
-  // functions of (loop, latencies). The warm path memoizes them across
-  // whole schedule() runs — the slack matrix is Floyd-Warshall, the
-  // one O(N^3) step of this driver, and the dominant cost of big loops
-  // — while the cold path recomputes both every call.
+  // Recurrence analysis + per-edge coarsening slack: IT-independent
+  // pure functions of (loop, latencies). The warm path memoizes them
+  // across whole schedule() runs; the cold path recomputes both every
+  // call.
   const RecurrenceInfo *Recs;
-  const MinDistMatrix *Slack;
+  const std::vector<int64_t> *Slack;
   RecurrenceInfo ColdRecs;
   if (const LoopAnalysisMemo *A =
           Warm ? S.findAnalysis(L.structuralFingerprint(), S.Lat) : nullptr) {
@@ -135,17 +134,17 @@ LoopScheduler::schedule(const Loop &L, const EnergyModel *Energy,
     Slack = &A->Slack;
   } else {
     ColdRecs = analyzeRecurrences(S.G, S.Lat);
-    MinDistMatrix::computeInto(S.Slack, S.G, S.Lat,
-                               std::max<int64_t>(ColdRecs.RecMII, 1));
+    const int64_t SlackII = std::max<int64_t>(ColdRecs.RecMII, 1);
     if (Warm) {
       LoopAnalysisMemo &Slot = S.analysisSlot();
       Slot.Fp = L.structuralFingerprint();
       Slot.Lat = S.Lat;
       Slot.Recs = std::move(ColdRecs);
-      Slot.Slack = S.Slack;
+      computeEdgeSlackInto(Slot.Slack, S.G, S.Lat, SlackII, &S.SlackWork);
       Recs = &Slot.Recs;
       Slack = &Slot.Slack;
     } else {
+      computeEdgeSlackInto(S.Slack, S.G, S.Lat, SlackII, &S.SlackWork);
       Recs = &ColdRecs;
       Slack = &S.Slack;
     }
@@ -211,7 +210,7 @@ LoopScheduler::schedule(const Loop &L, const EnergyModel *Energy,
     Ctx.Energy = Energy;
     Ctx.Scaling = Scaling;
     Ctx.TripCount = L.TripCount;
-    Ctx.SlackMatrix = Slack;
+    Ctx.EdgeSlack = Slack;
     Ctx.Scratch = &S.Part;
     Ctx.Trace = Trace;
     Ctx.Stats = &R.PartStats;

@@ -2,6 +2,8 @@
 
 #include "partition/Partitioner.h"
 #include "fault/Fault.h"
+#include "ir/EdgeSlack.h"
+#include "ir/MinDist.h"
 #include "partition/MultilevelGraph.h"
 
 #include <algorithm>
@@ -480,15 +482,16 @@ std::optional<Partition> multilevelPartition(const PartitionContext &Ctx,
       std::max(NC, std::min(NC * std::max(1u, Opts.CoarsestPerCluster),
                             NumNodes / 2));
 
-  // Slack matrix for the coarsening order, on reference latencies at the
-  // recurrence-safe II; IT-independent, so drivers that retry IT steps
-  // pass one precomputed matrix through the context.
-  MinDistMatrix OwnSlack;
-  const MinDistMatrix *Slack = Ctx.SlackMatrix;
+  // Per-edge slack for the coarsening order, on reference latencies at
+  // the recurrence-safe II; IT-independent, so drivers that retry IT
+  // steps pass it precomputed through the context.
+  std::vector<int64_t> OwnSlack;
+  const std::vector<int64_t> *Slack = Ctx.EdgeSlack;
+  if (!Slack && Ctx.SlackMatrix)
+    Slack = &Ctx.SlackMatrix->edgeSlack();
   if (!Slack) {
-    std::vector<unsigned> Lat = M.Isa.nodeLatencies(*Ctx.L);
-    MinDistMatrix::computeInto(OwnSlack, *Ctx.G, Lat,
-                               std::max<int64_t>(Ctx.Recs->RecMII, 1));
+    computeEdgeSlackInto(OwnSlack, *Ctx.G, M.Isa.nodeLatencies(*Ctx.L),
+                         std::max<int64_t>(Ctx.Recs->RecMII, 1));
     Slack = &OwnSlack;
   }
 

@@ -27,7 +27,6 @@
 #ifndef HCVLIW_PARTITION_PARTITIONER_H
 #define HCVLIW_PARTITION_PARTITIONER_H
 
-#include "ir/MinDist.h"
 #include "ir/RecurrenceAnalysis.h"
 #include "mcd/DomainPlanner.h"
 #include "obs/Trace.h"
@@ -42,13 +41,15 @@
 
 namespace hcvliw {
 
+class MinDistMatrix;
+
 namespace fault {
 class FaultInjector;
 }
 
 /// Warm-start coarsening memo key: the only MultilevelGraph::build
 /// inputs that vary within one Figure 5 run (loop, DDG, machine and
-/// slack matrix are fixed per run; groups and pins follow the plan's
+/// edge slack are fixed per run; groups and pins follow the plan's
 /// IIs, and the target follows the options). An exact key match makes
 /// reusing the memoized level stack provably exact.
 struct CoarsenMemoKey {
@@ -203,11 +204,13 @@ struct PartitionContext {
   const EnergyModel *Energy = nullptr;
   const HeteroScaling *Scaling = nullptr;
   uint64_t TripCount = 1;
-  /// Optional precomputed coarsening slack matrix
-  /// (MinDistMatrix::compute(G, Isa latencies, max(RecMII, 1))). The
-  /// matrix does not depend on the IT, so drivers retrying II/IT steps
-  /// compute it once instead of reallocating the O(N^2) buffer per
-  /// attempt; when null the partitioner computes its own.
+  /// Optional precomputed coarsening slack, one value per DDG edge
+  /// (computeEdgeSlackInto(G, Isa latencies, max(RecMII, 1))). It does
+  /// not depend on the IT, so drivers retrying II/IT steps compute it
+  /// once per loop; when null the partitioner computes its own.
+  const std::vector<int64_t> *EdgeSlack = nullptr;
+  /// Deprecated spelling of EdgeSlack for callers of the former
+  /// MinDistMatrix API (ir/MinDist.h); read only when EdgeSlack is null.
   const MinDistMatrix *SlackMatrix = nullptr;
   /// Optional reusable buffers + warm-start coarsening memo; results
   /// are bit-identical with or without one.

@@ -3,7 +3,7 @@
 /// \file
 /// The per-worker scratch arena of the per-loop scheduling chain. One
 /// ScheduleScratch owns every reusable buffer a Figure 5 run touches —
-/// the DDG, the coarsening slack matrix, the partitioner's multilevel
+/// the DDG, the per-edge coarsening slack, the partitioner's multilevel
 /// stack and pseudo-schedule buffers, the partitioned graph and its
 /// tick lowering, the modulo reservation table, the scheduler's
 /// ready-list bitset and priority arrays, and the register-pressure
@@ -33,7 +33,7 @@
 #define HCVLIW_PARTITION_SCHEDULESCRATCH_H
 
 #include "ir/DDG.h"
-#include "ir/MinDist.h"
+#include "ir/EdgeSlack.h"
 #include "ir/RecurrenceAnalysis.h"
 #include "partition/Partitioner.h"
 #include "sched/HeteroModuloScheduler.h"
@@ -48,20 +48,19 @@
 namespace hcvliw {
 
 /// One memoized IT-independent loop analysis: the recurrence summary
-/// and the coarsening slack matrix, both pure functions of the loop's
-/// structure and its node latencies (the matrix is Floyd-Warshall
-/// longest paths at II = max(recMII, 1) — O(N^3), and the single
-/// dominant cost of scheduling a 1000-op loop). Keyed by the loop's
-/// structural fingerprint plus the exact latency vector (latencies
-/// vary by ISA table, fingerprints by loop), so an entry is reusable
-/// across machine plans, menus, and whole schedule() runs — the suite
-/// pattern of re-scheduling one loop under many configurations pays
-/// the cubic analysis once per loop, not once per run.
+/// and the per-edge coarsening slack (computeEdgeSlackInto at
+/// II = max(recMII, 1)), both pure functions of the loop's structure
+/// and its node latencies. Keyed by the loop's structural fingerprint
+/// plus the exact latency vector (latencies vary by ISA table,
+/// fingerprints by loop), so an entry is reusable across machine
+/// plans, menus, and whole schedule() runs: re-scheduling one loop
+/// under many configurations pays the analysis once per loop. The
+/// payload is O(N + E).
 struct LoopAnalysisMemo {
   uint64_t Fp = 0;
   std::vector<unsigned> Lat;
   RecurrenceInfo Recs;
-  MinDistMatrix Slack;
+  std::vector<int64_t> Slack;
 };
 
 /// All reusable storage of one per-loop scheduling run (one thread's
@@ -70,7 +69,8 @@ struct ScheduleScratch {
   // Figure 5 driver state (per loop).
   DDG G;
   std::vector<unsigned> Lat;
-  MinDistMatrix Slack;
+  std::vector<int64_t> Slack; ///< per-edge slack (cold path)
+  EdgeSlackScratch SlackWork;
 
   // Per-attempt structures.
   PartitionedGraph PG;

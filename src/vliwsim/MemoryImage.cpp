@@ -2,8 +2,10 @@
 
 #include "vliwsim/MemoryImage.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 
 using namespace hcvliw;
 
@@ -66,6 +68,29 @@ uint64_t MemoryImage::digest() const {
       H = (H ^ Bits) * 1099511628211ull;
     }
   return H;
+}
+
+bool MemoryImage::operator==(const MemoryImage &O) const {
+  if (Arrays.size() != O.Arrays.size())
+    return false;
+  for (size_t A = 0; A < Arrays.size(); ++A)
+    if (!sameBits(Arrays[A], O.Arrays[A]))
+      return false;
+  return true;
+}
+
+bool hcvliw::sameBits(double A, double B) {
+  uint64_t BitsA, BitsB;
+  std::memcpy(&BitsA, &A, sizeof A);
+  std::memcpy(&BitsB, &B, sizeof B);
+  return BitsA == BitsB;
+}
+
+bool hcvliw::sameBits(const std::vector<double> &A,
+                      const std::vector<double> &B) {
+  return A.size() == B.size() &&
+         std::equal(A.begin(), A.end(), B.begin(),
+                    [](double X, double Y) { return sameBits(X, Y); });
 }
 
 double hcvliw::evalOpcode(Opcode Op, double A, double B) {

@@ -33,11 +33,20 @@ public:
   double load(unsigned Array, int64_t Address) const;
   void store(unsigned Array, int64_t Address, double Value);
 
-  bool operator==(const MemoryImage &O) const { return Arrays == O.Arrays; }
+  /// Bit-for-bit equality (see sameBits): two images that hold the
+  /// same NaN in the same place are equal.
+  bool operator==(const MemoryImage &O) const;
 
   /// Order-insensitive FNV-style digest, for quick test assertions.
   uint64_t digest() const;
 };
+
+/// True when \p A and \p B have the same bit pattern. Both simulators
+/// evaluate every op through evalOpcode, so two executions that agree
+/// give identical bits, including where arithmetic overflowed to NaN
+/// (which == would report as a difference).
+bool sameBits(double A, double B);
+bool sameBits(const std::vector<double> &A, const std::vector<double> &B);
 
 /// Evaluates one opcode on up to two operands (shared by both
 /// simulators so results are bitwise identical).

@@ -168,7 +168,7 @@ std::string hcvliw::checkFunctionalEquivalence(const Loop &L,
   if (!(P.Memory == F.Memory))
     return "final memory images differ";
   for (unsigned Op = 0; Op < L.size(); ++Op)
-    if (P.LastValues[Op] != F.LastValues[Op])
+    if (!sameBits(P.LastValues[Op], F.LastValues[Op]))
       return formatString("op %u final value differs", Op);
   return "";
 }

@@ -49,7 +49,9 @@ PipelinedResult runPipelined(const Loop &L, const PartitionedGraph &PG,
                              uint64_t Iterations);
 
 /// Convenience: runs both simulators and reports the first divergence
-/// (empty string when the pipelined execution is exact).
+/// (empty string when the pipelined execution is exact). Final memory
+/// and every op's last value are compared bit for bit (sameBits), so a
+/// NaN both executions compute is agreement, not a mismatch.
 std::string checkFunctionalEquivalence(const Loop &L,
                                        const PartitionedGraph &PG,
                                        const Schedule &S,

@@ -1,7 +1,8 @@
 //===- tests/ir/RecurrenceMinDistTest.cpp - recMII and MinDist --------------===//
 
+#include "MinDistOracle.h"
+
 #include "ir/LoopDSL.h"
-#include "ir/MinDist.h"
 #include "ir/RecurrenceAnalysis.h"
 #include "machine/IsaTable.h"
 
@@ -142,7 +143,7 @@ loop t trip=4
   store O z
 endloop
 )");
-  MinDistMatrix M = MinDistMatrix::compute(A.G, A.Lat, 1);
+  MinDistOracle M = MinDistOracle::compute(A.G, A.Lat, 1);
   // load(2) -> fadd(3) -> fmul(6) -> store.
   EXPECT_EQ(M.at(0, 1), 2);
   EXPECT_EQ(M.at(0, 2), 5);
@@ -160,10 +161,10 @@ loop t trip=4
   store O a
 endloop
 )");
-  MinDistMatrix M3 = MinDistMatrix::compute(A.G, A.Lat, 3);
+  MinDistOracle M3 = MinDistOracle::compute(A.G, A.Lat, 3);
   // Self distance at II == recMII is exactly 0.
   EXPECT_EQ(M3.at(0, 0), 0);
-  MinDistMatrix M5 = MinDistMatrix::compute(A.G, A.Lat, 5);
+  MinDistOracle M5 = MinDistOracle::compute(A.G, A.Lat, 5);
   EXPECT_EQ(M5.at(0, 0), -2);
 }
 
@@ -177,7 +178,7 @@ loop t trip=4
   store O y
 endloop
 )");
-  MinDistMatrix M = MinDistMatrix::compute(A.G, A.Lat, 4);
+  MinDistOracle M = MinDistOracle::compute(A.G, A.Lat, 4);
   // x is on the critical path to y; u is independent of y.
   EXPECT_LT(M.slack(0, 1, 4), M.slack(2, 1, 4));
 }

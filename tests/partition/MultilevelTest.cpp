@@ -10,6 +10,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ir/EdgeSlack.h"
 #include "mcd/DomainPlanner.h"
 #include "partition/LoopScheduler.h"
 #include "partition/MultilevelGraph.h"
@@ -52,7 +53,7 @@ struct CoarsenFixture {
   Loop L;
   DDG G;
   MachineDescription M;
-  MinDistMatrix Slack;
+  std::vector<int64_t> Slack;
   MultilevelGraph ML;
 
   explicit CoarsenFixture(Loop TheLoop, unsigned TargetMacros,
@@ -62,8 +63,8 @@ struct CoarsenFixture {
             static_cast<unsigned>(L.Ops.size()))) {
     G = DDG::build(L);
     RecurrenceInfo Recs = analyzeRecurrences(G, M.Isa.nodeLatencies(L));
-    MinDistMatrix::computeInto(Slack, G, M.Isa.nodeLatencies(L),
-                               std::max<int64_t>(Recs.RecMII, 1));
+    computeEdgeSlackInto(Slack, G, M.Isa.nodeLatencies(L),
+                         std::max<int64_t>(Recs.RecMII, 1));
     ML.build(L, G, M, Groups, Pins, Slack, TargetMacros);
   }
 };
