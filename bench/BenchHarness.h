@@ -125,6 +125,7 @@ class BenchReporter {
     uint64_t PartLevels = 0, PartMatchedPairs = 0;
     uint64_t PartRefineMoves = 0, PartFMMoves = 0;
     uint64_t PartCoarsenMemoHits = 0;
+    uint64_t PartScoreEvals = 0, PartScoreRelaxations = 0;
     /// Robustness ledger (PR 9): silent tick-grid → Rational replays,
     /// loops finished on a degradation rung, and injected faults.
     /// Baselines assert the last two are zero in clean CI runs.
@@ -188,6 +189,8 @@ public:
     C.PartRefineMoves = S.scheduleCache().partRefineMoves();
     C.PartFMMoves = S.scheduleCache().partFMMoves();
     C.PartCoarsenMemoHits = S.scheduleCache().partCoarsenMemoHits();
+    C.PartScoreEvals = S.scheduleCache().partScoreEvals();
+    C.PartScoreRelaxations = S.scheduleCache().partScoreRelaxations();
     // The robustness ledger lives in the metrics registry (the
     // measurement layer records it per config run); one snapshot
     // serves both these keys and the "obs" object below.
@@ -266,6 +269,8 @@ public:
                         "\"part_refine_moves\": %llu, "
                         "\"part_fm_moves\": %llu, "
                         "\"part_coarsen_memo_hits\": %llu, "
+                        "\"part_score_evals\": %llu, "
+                        "\"part_score_relaxations\": %llu, "
                         "\"sched_fallback_rational\": %llu, "
                         "\"degraded_count\": %llu, "
                         "\"fault_injected\": %llu, "
@@ -287,6 +292,9 @@ public:
                         static_cast<unsigned long long>(C.PartRefineMoves),
                         static_cast<unsigned long long>(C.PartFMMoves),
                         static_cast<unsigned long long>(C.PartCoarsenMemoHits),
+                        static_cast<unsigned long long>(C.PartScoreEvals),
+                        static_cast<unsigned long long>(
+                            C.PartScoreRelaxations),
                         static_cast<unsigned long long>(C.FallbackRational),
                         static_cast<unsigned long long>(C.DegradedCount),
                         static_cast<unsigned long long>(C.FaultInjected),

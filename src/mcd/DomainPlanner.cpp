@@ -21,8 +21,7 @@ static std::optional<DomainPlan> planDomain(const FrequencyMenu &Menu,
     return std::nullopt;
   DomainPlan D;
   D.II = Sel->first;
-  D.FreqGHz = Sel->second;
-  D.PeriodNs = D.FreqGHz.reciprocal();
+  D.PeriodNs = Sel->second.reciprocal();
   return D;
 }
 

@@ -30,9 +30,10 @@ namespace hcvliw {
 
 /// One domain's schedule-time clocking for a specific loop.
 struct DomainPlan {
-  int64_t II = 1;            ///< slots per initiation time
-  Rational FreqGHz;          ///< II / IT, <= the domain's fmax
-  Rational PeriodNs;         ///< 1 / FreqGHz (the *running* period)
+  int64_t II = 1;   ///< slots per initiation time
+  /// The *running* period: IT / II, i.e. 1 / f for the selected
+  /// frequency f = II / IT <= the domain's fmax.
+  Rational PeriodNs;
 };
 
 /// Clocking of the whole machine for one loop.

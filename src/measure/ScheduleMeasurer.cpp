@@ -198,6 +198,9 @@ ConfigRunResult ScheduleMeasurer::measure(const ProgramProfile &Profile,
       Metrics->addCounter("part.matched_pairs", LR.PartStats.MatchedPairs);
       Metrics->addCounter("part.refine_moves", LR.PartStats.RefineMoves);
       Metrics->addCounter("part.fm_moves", LR.PartStats.FMMoves);
+      Metrics->addCounter("part.score_evals", LR.PartStats.ScoreEvals);
+      Metrics->addCounter("part.score_relaxations",
+                          LR.PartStats.ScoreRelaxations);
       Metrics->addCounter("part.coarsen_memo_hits",
                           LR.PartStats.CoarsenMemoHits);
     }

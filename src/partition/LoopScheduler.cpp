@@ -344,11 +344,11 @@ LoopScheduler::schedule(const Loop &L, const EnergyModel *Energy,
       R.Success = true;
       R.Failure.clear();
       R.Sched = std::move(SR.Sched);
-      // The graph escapes the arena: move it out and drop the memo (the
-      // scratch rebuilds next run; nothing may reference arena storage
-      // after schedule() returns).
-      R.PG = std::move(S.PG);
-      S.PGValid = false;
+      // The graph escapes the arena as a copy (nothing may reference
+      // arena storage after schedule() returns): the result holds no
+      // capacity slack from earlier attempts, and the arena keeps its
+      // buffers for the next run.
+      R.PG = S.PG;
       R.Assignment = std::move(*Assignment);
       R.Pressure = std::move(Pressure);
       Done = true;

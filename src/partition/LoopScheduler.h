@@ -83,6 +83,7 @@ struct ITFailure {
 
 struct LoopScheduleResult {
   bool Success = false;
+  unsigned ITSteps = 0; ///< times the IT was increased past the MIT
   std::string Failure;
 
   Schedule Sched;
@@ -91,7 +92,6 @@ struct LoopScheduleResult {
   RegisterPressureResult Pressure;
 
   Rational MITNs;
-  unsigned ITSteps = 0; ///< times the IT was increased past the MIT
 
   /// Scheduler effort over the whole Figure 5 run (every attempt at
   /// every IT step, failed ones included): placements made, nodes
@@ -110,16 +110,16 @@ struct LoopScheduleResult {
   /// or without the schedule cache.
   unsigned FallbackRational = 0;
 
-  /// Every failed (IT step, attempt) of the sweep, in order — the
-  /// per-IT failure aggregation SuiteFailure records surface. Identical
-  /// on the warm and cold paths (warm-start skips work, not outcomes).
-  std::vector<ITFailure> FailureLog;
-
   /// IT steps the warm-start lower bound skipped without paying the
   /// partition attempts. Diagnostic only (always 0 on the cold path):
   /// the one field that reports work *saved*, so it is excluded from
   /// the warm-vs-cold equivalence contract.
   unsigned PrunedITSteps = 0;
+
+  /// Every failed (IT step, attempt) of the sweep, in order — the
+  /// per-IT failure aggregation SuiteFailure records surface. Identical
+  /// on the warm and cold paths (warm-start skips work, not outcomes).
+  std::vector<ITFailure> FailureLog;
 
   /// Partitioner effort over the whole sweep (coarsening levels,
   /// matched pairs, refinement passes/moves; PartitionStats). Like

@@ -7,7 +7,6 @@
 #include "partition/MultilevelGraph.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -15,64 +14,51 @@
 
 using namespace hcvliw;
 
+namespace {
+
+ScoreObjective objectiveOf(const PartitionContext &Ctx,
+                           const PartitionerOptions &Opts) {
+  ScoreObjective Obj;
+  Obj.ED2 = Opts.ED2Objective;
+  Obj.Energy = Ctx.Energy;
+  Obj.Scaling = Ctx.Scaling;
+  Obj.TripCount = Ctx.TripCount;
+  return Obj;
+}
+
+} // namespace
+
 double hcvliw::scorePartition(const PartitionContext &Ctx,
                               const PartitionerOptions &Opts,
                               const Partition &P) {
-  // With a scratch, both the estimate's working set and its result
-  // vectors are reused — the scoring loop is allocation-free.
-  PseudoSchedule Local;
-  PseudoSchedule &PS = Ctx.Scratch ? Ctx.Scratch->PS.Result : Local;
-  estimatePseudoScheduleInto(PS, *Ctx.L, *Ctx.G, *Ctx.M, *Ctx.Plan, P,
-                             Ctx.Scratch ? &Ctx.Scratch->PS : nullptr);
-  if (!PS.Feasible) {
-    // Graded penalty: any feasible partition beats every infeasible
-    // one, but among infeasible partitions smaller violations win, so
-    // greedy refinement can walk out of an infeasible region.
-    return InfeasiblePartitionScore * (1.0 + PS.Overflow);
-  }
-
-  double N = static_cast<double>(Ctx.TripCount);
-  double TexecNs =
-      (N - 1) * Ctx.Plan->ITNs.toDouble() + PS.ItLengthNs.toDouble();
-
-  if (Opts.ED2Objective) {
-    assert(Ctx.Energy && Ctx.Scaling && "ED2 objective needs energy model");
-    std::vector<double> LocalW;
-    std::vector<double> &WIns = Ctx.Scratch ? Ctx.Scratch->WInsTmp : LocalW;
-    WIns.assign(PS.WInsPerCluster.begin(), PS.WInsPerCluster.end());
-    for (double &W : WIns)
-      W *= N;
-    unsigned Mem = 0;
-    for (const auto &O : Ctx.L->Ops)
-      if (isMemoryOpcode(O.Op))
-        ++Mem;
-    double E = Ctx.Energy->heteroEnergy(WIns, PS.Comms * N,
-                                        static_cast<double>(Mem) * N, TexecNs,
-                                        *Ctx.Scaling);
-    return computeED2(E, TexecNs);
-  }
-
-  // Homogeneous baseline objective [2][3]: fewest communications, then
-  // balance, then shorter iterations. Folded lexicographically.
-  double MaxLoad = 0;
-  for (unsigned C = 0; C < Ctx.M->numClusters(); ++C) {
-    double Cap = static_cast<double>(Ctx.Plan->Clusters[C].II);
-    double Load = PS.WInsPerCluster[C] / std::max(1.0, Cap);
-    MaxLoad = std::max(MaxLoad, Load);
-  }
-  return PS.Comms * 1e6 + MaxLoad * 1e3 + PS.ItLengthNs.toDouble();
+  // The full estimate: the reference every PartitionScorer score must
+  // equal bit for bit.
+  PseudoSchedule PS;
+  estimatePseudoScheduleInto(PS, *Ctx.L, *Ctx.G, *Ctx.M, *Ctx.Plan, P);
+  unsigned Mem = 0;
+  for (const auto &O : Ctx.L->Ops)
+    if (isMemoryOpcode(O.Op))
+      ++Mem;
+  std::vector<double> Tmp;
+  return partitionObjective(objectiveOf(Ctx, Opts), *Ctx.M, *Ctx.Plan, Mem,
+                            PS.Feasible, PS.Overflow, PS.Comms,
+                            PS.WInsPerCluster, PS.ItLengthNs, Tmp);
 }
 
 namespace {
 
-/// Expands a macro-level assignment into the node-level partition \p P
-/// (in place; the refinement loop reuses two partition buffers).
-void expandInto(Partition &P, const CoarseLevel &Lvl,
-                const std::vector<unsigned> &ClusterOfMacro,
-                unsigned NumNodes) {
-  P.ClusterOf.resize(NumNodes);
-  for (unsigned N = 0; N < NumNodes; ++N)
-    P.ClusterOf[N] = ClusterOfMacro[Lvl.MacroOf[N]];
+/// Binds \p Sc to this run's loop, plan and objective.
+void bindScorer(PartitionScorer &Sc, const PartitionContext &Ctx,
+                const PartitionerOptions &Opts) {
+  Sc.bind(*Ctx.L, *Ctx.G, *Ctx.M, *Ctx.Plan, objectiveOf(Ctx, Opts));
+}
+
+/// Adds the scorer's work counters to the run's stats.
+void addScoreStats(const PartitionContext &Ctx, const PartitionScorer &Sc) {
+  if (!Ctx.Stats)
+    return;
+  Ctx.Stats->ScoreEvals += static_cast<uint32_t>(Sc.Evals);
+  Ctx.Stats->ScoreRelaxations += Sc.Relaxations;
 }
 
 /// Pre-places critical recurrences; returns initial groups + pins for
@@ -334,7 +320,7 @@ uint64_t refineLevelFM(const PartitionContext &Ctx,
   }
   if (Stats) {
     Stats->FMPasses += PassesRun;
-    Stats->FMMoves += Moves;
+    Stats->FMMoves += static_cast<uint32_t>(Moves);
   }
   return Moves;
 }
@@ -456,7 +442,12 @@ std::optional<Partition> flatPartition(const PartitionContext &Ctx,
                           : static_cast<unsigned>(BestOverflow));
   }
 
-  double Score = scorePartition(Ctx, Opts, P);
+  PartitionScorer LocalScorer;
+  PartitionScorer &Sc = Ctx.Scratch ? Ctx.Scratch->Scorer : LocalScorer;
+  bindScorer(Sc, Ctx, Opts);
+  Sc.reset(P.ClusterOf);
+  double Score = Sc.score();
+  addScoreStats(Ctx, Sc);
   if (Ctx.Stats) {
     Ctx.Stats->InitialScore = Score;
     Ctx.Stats->FinalScore = Score;
@@ -592,10 +583,16 @@ std::optional<Partition> multilevelPartition(const PartitionContext &Ctx,
   // (pseudo-schedule-scored) moves; big levels get boundary FM passes
   // whose result is kept only when the exact score did not get worse —
   // so CurrentScore is non-increasing across the whole uncoarsening.
-  Partition &Current = S.Current;
-  Partition &Cand = S.Cand;
-  expandInto(Current, Coarsest, ClusterOfMacro, NumNodes);
-  double CurrentScore = scorePartition(Ctx, Opts, Current);
+  // The scorer's assignment is the current partition: a candidate is a
+  // transaction of member moves, accepted or undone after its score.
+  PartitionScorer &Sc = S.Scorer;
+  bindScorer(Sc, Ctx, Opts);
+  S.NodeCluster.resize(NumNodes);
+  for (unsigned N = 0; N < NumNodes; ++N)
+    S.NodeCluster[N] = ClusterOfMacro[Coarsest.MacroOf[N]];
+  Sc.reset(S.NodeCluster);
+  double CurrentScore = Sc.score();
+  Sc.accept();
   if (Ctx.Stats)
     Ctx.Stats->InitialScore = CurrentScore;
 
@@ -609,10 +606,11 @@ std::optional<Partition> multilevelPartition(const PartitionContext &Ctx,
 
     // Project the current node-level partition onto this level's macros
     // (members of one macro share a cluster by construction).
+    const std::vector<unsigned> &Current = Sc.partition().ClusterOf;
     std::vector<unsigned> &Assign = S.Assign;
     Assign.resize(LN);
     for (unsigned Mac = 0; Mac < LN; ++Mac)
-      Assign[Mac] = Current.ClusterOf[Lvl.Rep[Mac]];
+      Assign[Mac] = Current[Lvl.Rep[Mac]];
 
     if (LN > Opts.MaxRefineMacros) {
       // Boundary FM on the surrogate objective; guarded acceptance.
@@ -623,25 +621,34 @@ std::optional<Partition> multilevelPartition(const PartitionContext &Ctx,
       }
       if (FMMoves == 0)
         continue;
-      expandInto(Cand, Lvl, Assign, NumNodes);
-      double Sc = scorePartition(Ctx, Opts, Cand);
-      if (Sc < CurrentScore) {
-        CurrentScore = Sc;
-        std::swap(Current, Cand);
+      for (unsigned N = 0; N < NumNodes; ++N)
+        Sc.moveNode(N, Assign[Lvl.MacroOf[N]]);
+      double FMScore = Sc.score();
+      if (FMScore < CurrentScore) {
+        CurrentScore = FMScore;
+        Sc.accept();
+      } else {
+        Sc.undo();
       }
       continue;
     }
 
-    // Warm-path skip (exact): a candidate move (Mac -> C) re-scores
-    // identically unless some move was accepted since its last
-    // evaluation at this level — the assignment vector, and hence the
-    // expanded partition and its pure-function score, are unchanged, so
-    // the greedy rejection repeats. Stamp each eval with the level's
-    // accepted-move count and skip on a stamp match.
-    std::vector<uint64_t> &EvalStamp = S.EvalStamp;
-    EvalStamp.assign(static_cast<size_t>(LN) * NC, ~uint64_t(0));
-    uint64_t Accepts = 0;
+    // Member lists of this level's macros (counting sort on MacroOf).
+    std::vector<unsigned> &MemberStart = S.MemberStart;
+    std::vector<unsigned> &Members = S.Members;
+    MemberStart.assign(LN + 1, 0);
+    for (unsigned N = 0; N < NumNodes; ++N)
+      ++MemberStart[Lvl.MacroOf[N] + 1];
+    for (unsigned Mac = 0; Mac < LN; ++Mac)
+      MemberStart[Mac + 1] += MemberStart[Mac];
+    Members.resize(NumNodes);
+    for (unsigned N = 0; N < NumNodes; ++N)
+      Members[MemberStart[Lvl.MacroOf[N]]++] = N;
+    for (unsigned Mac = LN; Mac > 0; --Mac)
+      MemberStart[Mac] = MemberStart[Mac - 1];
+    MemberStart[0] = 0;
 
+    uint64_t Accepts = 0;
     for (unsigned Pass = 0; Pass < Opts.MaxRefinePasses; ++Pass) {
       bool Improved = false;
       if (Ctx.Stats)
@@ -653,25 +660,21 @@ std::optional<Partition> multilevelPartition(const PartitionContext &Ctx,
         for (unsigned C = 0; C < NC; ++C) {
           if (C == Home)
             continue;
-          if (S.EnableMemo && EvalStamp[Mac * NC + C] == Accepts)
-            continue; // unchanged candidate: same score, same rejection
-          EvalStamp[Mac * NC + C] = Accepts;
-          Assign[Mac] = C;
-          expandInto(Cand, Lvl, Assign, NumNodes);
-          double Sc = scorePartition(Ctx, Opts, Cand);
-          if (Sc < CurrentScore) {
-            CurrentScore = Sc;
-            std::swap(Current, Cand);
-            Home = C;
+          for (unsigned I = MemberStart[Mac]; I < MemberStart[Mac + 1]; ++I)
+            Sc.moveNode(Members[I], C);
+          double Cand = Sc.score();
+          if (Cand < CurrentScore) {
+            CurrentScore = Cand;
+            Sc.accept();
+            Assign[Mac] = Home = C;
             Improved = true;
             ++Accepts;
             if (Ctx.Stats)
               ++Ctx.Stats->RefineMoves;
           } else {
-            Assign[Mac] = Home;
+            Sc.undo();
           }
         }
-        Assign[Mac] = Home;
       }
       if (!Improved)
         break;
@@ -682,11 +685,12 @@ std::optional<Partition> multilevelPartition(const PartitionContext &Ctx,
     }
   }
 
+  addScoreStats(Ctx, Sc);
   if (Ctx.Stats)
     Ctx.Stats->FinalScore = CurrentScore;
   if (CurrentScore >= InfeasiblePartitionScore)
     return std::nullopt; // nothing feasible found at this IT
-  return Current;
+  return Sc.partition();
 }
 
 } // namespace

@@ -20,7 +20,11 @@
 ///     on a cheap surrogate (capacity overload, cut, weight balance)
 ///     whose result is only kept when the exact objective did not get
 ///     worse — so the tracked objective is monotone across the whole
-///     uncoarsening, at every granularity.
+///     uncoarsening, at every granularity. Every exact score comes from
+///     one live PartitionScorer (PartitionScorer.h): a candidate is a
+///     move of the macro's members, scored by delta on the DDG state
+///     and accepted or undone, so no candidate rebuilds the partitioned
+///     graph, its tick lowering or a from-zero ASAP.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,9 +35,9 @@
 #include "mcd/DomainPlanner.h"
 #include "obs/Trace.h"
 #include "partition/MultilevelGraph.h"
+#include "partition/PartitionScorer.h"
 #include "power/EnergyModel.h"
 #include "sched/Partition.h"
-#include "sched/PseudoScheduler.h"
 
 #include <cstdint>
 #include <optional>
@@ -91,23 +95,31 @@ struct CoarsenMemoKeyHash {
 /// LoopScheduleResult::PrunedITSteps — the warm and cold paths report
 /// different values and they are excluded from the warm==cold
 /// equivalence contract; the partition itself never depends on them).
+///
+/// The counts of one run stay far below 2^32 (a run is at most
+/// 2 * (MaxITSteps + 1) partitions), so they are 32-bit: every cached
+/// LoopScheduleResult embeds one. Edge relaxations can exceed that.
 struct PartitionStats {
-  uint64_t Runs = 0;            ///< partitionLoop invocations
-  uint64_t CoarsenBuilds = 0;   ///< multilevel stacks built
-  uint64_t CoarsenMemoHits = 0; ///< stacks reused from the memo
-  uint64_t Levels = 0;          ///< recorded levels across all builds
-  uint64_t MatchedPairs = 0;    ///< pair contractions across all builds
-  uint64_t RefinePasses = 0;    ///< exact greedy passes run
-  uint64_t RefineMoves = 0;     ///< exact greedy moves accepted
-  uint64_t FMPasses = 0;        ///< boundary FM passes run
-  uint64_t FMMoves = 0;         ///< boundary FM moves applied
+  uint32_t Runs = 0;            ///< partitionLoop invocations
+  uint32_t CoarsenBuilds = 0;   ///< multilevel stacks built
+  uint32_t CoarsenMemoHits = 0; ///< stacks reused from the memo
+  uint32_t Levels = 0;          ///< recorded levels across all builds
+  uint32_t MatchedPairs = 0;    ///< pair contractions across all builds
+  uint32_t RefinePasses = 0;    ///< exact greedy passes run
+  uint32_t RefineMoves = 0;     ///< exact greedy moves accepted
+  uint32_t FMPasses = 0;        ///< boundary FM passes run
+  uint32_t FMMoves = 0;         ///< boundary FM moves applied
+  uint32_t ScoreEvals = 0;      ///< exact partition scores computed
   /// Runs that took the pre-fused flat-partition rung instead of the
   /// multilevel path (forced by an injected part.coarsen degrade or by
   /// an allocation failure inside coarsening). Unlike the effort
   /// counters above this is part of the result contract: the rung
   /// changes the partition, so the count is deterministic and cached
   /// results replay it exactly.
-  uint64_t FlatFallbacks = 0;
+  uint32_t FlatFallbacks = 0;
+  /// Edge relaxations done by the delta scorer's live ASAP (scores
+  /// taken by the full-estimate fallback add none).
+  uint64_t ScoreRelaxations = 0;
   /// Exact score of the initial (coarsest) assignment and of the final
   /// refined partition of the most recent run — the refinement
   /// invariant FinalScore <= InitialScore is pinned by MultilevelTest.
@@ -129,17 +141,15 @@ struct PartitionScratch {
   // Per-attempt buffers (no information carried between attempts).
   CoarsenMemoKey Key;        ///< this attempt's (groups, pins, target)
   std::vector<int64_t> Free; ///< flat [cluster][kind] slot capacity
-  std::vector<double> WInsTmp; ///< scorePartition's scaled-activity buffer
   std::vector<unsigned> ClusterOfMacro;
   std::vector<unsigned> ByWeight;
   std::vector<unsigned> Assign;
-  Partition Current;
-  Partition Cand;
-  PseudoScratch PS;
-  /// Exact-refinement eval stamps (flat [macro][cluster]): the
-  /// accepted-move count at the last evaluation of that move, for the
-  /// exact unchanged-candidate skip (warm path only).
-  std::vector<uint64_t> EvalStamp;
+  std::vector<unsigned> NodeCluster; ///< initial node-level assignment
+  /// Members of each macro of the level being refined (CSR over
+  /// CoarseLevel::MacroOf, nodes ascending).
+  std::vector<unsigned> MemberStart, Members;
+  /// The live scoring state; its assignment is the current partition.
+  PartitionScorer Scorer;
 
   // Boundary FM refinement working set (levels above MaxRefineMacros;
   // all sized per level and reused, so steady state is allocation-free
@@ -234,12 +244,11 @@ struct PartitionContext {
 std::optional<Partition> partitionLoop(const PartitionContext &Ctx,
                                        const PartitionerOptions &Opts);
 
-/// Every infeasible partition scores at least this much; feasible
-/// scores are always below it.
-inline constexpr double InfeasiblePartitionScore = 1e24;
-
-/// Scoring helper shared with tests: lower is better; infeasible
-/// partitions score >= InfeasiblePartitionScore, graded by violation.
+/// The exact partition objective from a full pseudo-schedule estimate:
+/// lower is better; infeasible partitions score >=
+/// InfeasiblePartitionScore, graded by violation. Refinement scores
+/// through PartitionScorer instead; this is the reference its scores
+/// are tested against.
 double scorePartition(const PartitionContext &Ctx,
                       const PartitionerOptions &Opts, const Partition &P);
 

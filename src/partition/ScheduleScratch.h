@@ -4,7 +4,7 @@
 /// The per-worker scratch arena of the per-loop scheduling chain. One
 /// ScheduleScratch owns every reusable buffer a Figure 5 run touches —
 /// the DDG, the per-edge coarsening slack, the partitioner's multilevel
-/// stack and pseudo-schedule buffers, the partitioned graph and its
+/// stack and live partition scorer, the partitioned graph and its
 /// tick lowering, the modulo reservation table, the scheduler's
 /// ready-list bitset and priority arrays, and the register-pressure
 /// accumulators — so the thousands of schedule runs a suite performs

@@ -69,7 +69,7 @@ namespace hcvliw {
 /// value layouts. Bump whenever any keyed computation or serde layout
 /// changes semantically; old snapshots are then refused instead of
 /// silently serving stale values.
-constexpr uint32_t CacheKeySchemaVersion = 1;
+constexpr uint32_t CacheKeySchemaVersion = 2;
 
 /// The (machine, menu) identity a snapshot is bound to: FNV over the
 /// key-schema version, the timing-relevant machine structure (the same

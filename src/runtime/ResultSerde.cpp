@@ -264,13 +264,11 @@ namespace {
 
 void putDomainPlan(Sink &S, const DomainPlan &D) {
   S.i64(D.II);
-  S.rat(D.FreqGHz);
   S.rat(D.PeriodNs);
 }
 DomainPlan getDomainPlan(Source &S) {
   DomainPlan D;
   D.II = S.i64();
-  D.FreqGHz = S.rat();
   D.PeriodNs = S.rat();
   return D;
 }
@@ -357,7 +355,7 @@ PartitionedGraph serde::getPartitionedGraph(Source &S) {
     N.Domain = static_cast<unsigned>(S.u64());
     N.Op = static_cast<Opcode>(
         getBounded(S, static_cast<uint64_t>(Opcode::Copy)));
-    N.LatencyCycles = static_cast<unsigned>(S.u64());
+    N.LatencyCycles = static_cast<uint16_t>(getBounded(S, UINT16_MAX));
     N.Kind =
         static_cast<FUKind>(getBounded(S, static_cast<uint64_t>(FUKind::Bus)));
     N.OrigOp = static_cast<int>(S.i64());
@@ -370,7 +368,7 @@ PartitionedGraph serde::getPartitionedGraph(Source &S) {
     E.Src = static_cast<unsigned>(getBounded(S, MaxNode));
     E.Dst = static_cast<unsigned>(getBounded(S, MaxNode));
     E.Distance = static_cast<unsigned>(S.u64());
-    E.LatencyCycles = static_cast<unsigned>(S.u64());
+    E.LatencyCycles = static_cast<unsigned>(getBounded(S, (1u << 31) - 1));
     E.CarriesValue = S.b();
   }
   if (S.bad())
@@ -416,6 +414,8 @@ void serde::putLoopScheduleResult(Sink &S, const LoopScheduleResult &R) {
   S.u64(R.PartStats.RefineMoves);
   S.u64(R.PartStats.FMPasses);
   S.u64(R.PartStats.FMMoves);
+  S.u64(R.PartStats.ScoreEvals);
+  S.u64(R.PartStats.ScoreRelaxations);
   S.u64(R.PartStats.FlatFallbacks);
   S.d(R.PartStats.InitialScore);
   S.d(R.PartStats.FinalScore);
@@ -455,16 +455,18 @@ LoopScheduleResult serde::getLoopScheduleResult(Source &S) {
     F.Count = static_cast<unsigned>(S.u64());
   }
   R.PrunedITSteps = static_cast<unsigned>(S.u64());
-  R.PartStats.Runs = S.u64();
-  R.PartStats.CoarsenBuilds = S.u64();
-  R.PartStats.CoarsenMemoHits = S.u64();
-  R.PartStats.Levels = S.u64();
-  R.PartStats.MatchedPairs = S.u64();
-  R.PartStats.RefinePasses = S.u64();
-  R.PartStats.RefineMoves = S.u64();
-  R.PartStats.FMPasses = S.u64();
-  R.PartStats.FMMoves = S.u64();
-  R.PartStats.FlatFallbacks = S.u64();
+  R.PartStats.Runs = static_cast<uint32_t>(S.u64());
+  R.PartStats.CoarsenBuilds = static_cast<uint32_t>(S.u64());
+  R.PartStats.CoarsenMemoHits = static_cast<uint32_t>(S.u64());
+  R.PartStats.Levels = static_cast<uint32_t>(S.u64());
+  R.PartStats.MatchedPairs = static_cast<uint32_t>(S.u64());
+  R.PartStats.RefinePasses = static_cast<uint32_t>(S.u64());
+  R.PartStats.RefineMoves = static_cast<uint32_t>(S.u64());
+  R.PartStats.FMPasses = static_cast<uint32_t>(S.u64());
+  R.PartStats.FMMoves = static_cast<uint32_t>(S.u64());
+  R.PartStats.ScoreEvals = static_cast<uint32_t>(S.u64());
+  R.PartStats.ScoreRelaxations = S.u64();
+  R.PartStats.FlatFallbacks = static_cast<uint32_t>(S.u64());
   R.PartStats.InitialScore = S.d();
   R.PartStats.FinalScore = S.d();
   R.RecMII = S.i64();

@@ -28,7 +28,7 @@ using recio::Source;
 
 namespace {
 
-constexpr const char *JournalMagic = "hcvliw-suite-journal v1";
+constexpr const char *JournalMagic = "hcvliw-suite-journal v2";
 
 } // namespace
 

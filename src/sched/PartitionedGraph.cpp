@@ -20,8 +20,14 @@ unsigned PartitionedGraph::numCopies() const {
 void PartitionedGraph::finalizeAdjacency() {
   const unsigned N = size();
   const unsigned E = static_cast<unsigned>(Edges.size());
-  OutStart.assign(N + 1, 0);
-  InStart.assign(N + 1, 0);
+  InStartOff = N + 1;
+  OutIxOff = 2 * (N + 1);
+  InIxOff = OutIxOff + E;
+  Adj.assign(static_cast<size_t>(InIxOff) + E, 0);
+  unsigned *OutStart = Adj.data();
+  unsigned *InStart = OutStart + InStartOff;
+  unsigned *OutIx = OutStart + OutIxOff;
+  unsigned *InIx = OutStart + InIxOff;
   for (const PGEdge &Ed : Edges) {
     ++OutStart[Ed.Src + 1];
     ++InStart[Ed.Dst + 1];
@@ -30,8 +36,6 @@ void PartitionedGraph::finalizeAdjacency() {
     OutStart[I + 1] += OutStart[I];
     InStart[I + 1] += InStart[I];
   }
-  OutIx.resize(E);
-  InIx.resize(E);
   // Fill using the start arrays as cursors, then shift them back.
   for (unsigned Ix = 0; Ix < E; ++Ix) {
     OutIx[OutStart[Edges[Ix].Src]++] = Ix;
@@ -87,7 +91,7 @@ void PartitionedGraph::buildInto(PartitionedGraph &PG, const Loop &L,
     PGNode N;
     N.Domain = P.cluster(I);
     N.Op = L.Ops[I].Op;
-    N.LatencyCycles = Isa.latency(N.Op);
+    N.LatencyCycles = static_cast<uint16_t>(Isa.latency(N.Op));
     N.Kind = fuKindOf(N.Op);
     N.OrigOp = static_cast<int>(I);
     PG.Nodes.push_back(N);
@@ -116,7 +120,7 @@ void PartitionedGraph::buildInto(PartitionedGraph &PG, const Loop &L,
     PGNode C;
     C.Domain = PG.busDomain();
     C.Op = Opcode::Copy;
-    C.LatencyCycles = BusLatency;
+    C.LatencyCycles = static_cast<uint16_t>(BusLatency);
     C.Kind = FUKind::Bus;
     C.OrigOp = -1;
     C.CopiedValue = static_cast<int>(Value);

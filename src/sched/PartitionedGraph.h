@@ -33,9 +33,10 @@ struct PGNode {
   /// Cluster id, or numClusters() for the bus domain.
   unsigned Domain = 0;
   Opcode Op = Opcode::IntAdd;
-  /// Execution latency in cycles of this node's own domain.
-  unsigned LatencyCycles = 1;
   FUKind Kind = FUKind::IntFU;
+  /// Execution latency in cycles of this node's own domain (16 bits
+  /// keep a node at 16 bytes; every cached schedule holds one per op).
+  uint16_t LatencyCycles = 1;
   /// Original DDG node id; -1 for copies.
   int OrigOp = -1;
   /// For copies: the DDG node whose value is transported.
@@ -48,23 +49,34 @@ struct PGEdge {
   unsigned Distance = 0;
   /// Cycles (of Src's domain) between start(Src) and the time this
   /// dependence is satisfied: the producer latency for value/mem-flow
-  /// edges, 1 for anti/output ordering edges.
-  unsigned LatencyCycles = 1;
+  /// edges, 1 for anti/output ordering edges. Packed with the flag
+  /// below: an edge is 16 bytes, and every cached schedule holds one
+  /// per dependence.
+  unsigned LatencyCycles : 31;
   /// Whether the edge carries a register value (defines lifetimes).
-  bool CarriesValue = true;
+  unsigned CarriesValue : 1;
+
+  PGEdge(unsigned S = 0, unsigned D = 0, unsigned Dist = 0, unsigned Lat = 1,
+         bool Carries = true)
+      : Src(S), Dst(D), Distance(Dist), LatencyCycles(Lat),
+        CarriesValue(Carries) {}
 };
 
 class PartitionedGraph {
   unsigned NumClustersVal = 0;
+  /// Offsets into Adj of the in-row starts, the out-edge indices and
+  /// the in-edge indices (the out-row starts begin at 0).
+  unsigned InStartOff = 0, OutIxOff = 0, InIxOff = 0;
   std::vector<PGNode> Nodes;
   std::vector<PGEdge> Edges;
-  /// CSR adjacency (built once per buildInto, after all edges exist):
-  /// node N's out-edge indices are OutIx[OutStart[N] .. OutStart[N+1]),
-  /// in insertion order — identical iteration order to the per-node
-  /// rows this replaces, but four flat arrays instead of two
-  /// heap-allocated rows per node, so a graph that escapes into a
-  /// LoopScheduleResult costs O(1) allocations to rebuild, not O(N).
-  std::vector<unsigned> OutStart, OutIx, InStart, InIx;
+  /// CSR adjacency (built once per buildInto, after all edges exist) in
+  /// one buffer: [out-row starts (N+1) | in-row starts (N+1) | out-edge
+  /// indices (E) | in-edge indices (E)]. Node N's out-edge indices are
+  /// Adj[OutIxOff + Adj[N] .. OutIxOff + Adj[N+1]), in insertion order —
+  /// identical iteration order to the per-node rows this replaces. One
+  /// allocation per rebuild, and a small handle: every cached
+  /// LoopScheduleResult embeds one.
+  std::vector<unsigned> Adj;
 
   void finalizeAdjacency();
 
@@ -106,10 +118,13 @@ public:
   const std::vector<PGEdge> &edges() const { return Edges; }
   const PGEdge &edge(unsigned E) const { return Edges[E]; }
   EdgeIxSpan outEdges(unsigned N) const {
-    return {OutIx.data() + OutStart[N], OutIx.data() + OutStart[N + 1]};
+    const unsigned *A = Adj.data();
+    return {A + OutIxOff + A[N], A + OutIxOff + A[N + 1]};
   }
   EdgeIxSpan inEdges(unsigned N) const {
-    return {InIx.data() + InStart[N], InIx.data() + InStart[N + 1]};
+    const unsigned *A = Adj.data();
+    const unsigned *InStart = A + InStartOff;
+    return {A + InIxOff + InStart[N], A + InIxOff + InStart[N + 1]};
   }
 };
 

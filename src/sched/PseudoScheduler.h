@@ -45,11 +45,14 @@ struct PseudoSchedule {
   std::vector<int64_t> LifetimeProxy;
 };
 
-/// Reusable buffers for estimatePseudoSchedule. Partition refinement
-/// scores one pseudo-schedule per candidate move — hundreds per loop —
-/// and each estimate materializes a PartitionedGraph plus a tick
-/// lowering; with a scratch, the whole refinement runs allocation-free
-/// in steady state. Contents carry nothing between calls.
+/// Reusable buffers for estimatePseudoSchedule. Each estimate
+/// materializes a PartitionedGraph plus a tick lowering and runs the
+/// ASAP fixpoint from zero. Partition refinement does not pay that per
+/// candidate: it scores by delta (partition/PartitionScorer.h) and
+/// falls back to this full estimate only for plans without a tick grid
+/// or assignments that split a recurrence; the estimate is also the
+/// reference the delta scores are tested against. Contents carry
+/// nothing between calls.
 struct PseudoScratch {
   PartitionedGraph PG;
   std::vector<int> CopySlots;
@@ -57,7 +60,7 @@ struct PseudoScratch {
   TickGraph Ticks;
   std::vector<int64_t> Asap;
   std::vector<unsigned> Counts; ///< flat [cluster][kind] op counts
-  PseudoSchedule Result;        ///< reused by scorePartition
+  PseudoSchedule Result;        ///< reused by PartitionScorer
 };
 
 /// Estimates the schedule quality of \p P for \p L under \p Plan.

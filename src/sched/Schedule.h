@@ -24,9 +24,9 @@
 namespace hcvliw {
 
 struct ScheduledNode {
-  bool Placed = false;
   int64_t Slot = 0; ///< issue cycle in the node's own domain
   unsigned Unit = 0;
+  bool Placed = false; // last: 16 bytes instead of 24 with padding
 };
 
 class Schedule {

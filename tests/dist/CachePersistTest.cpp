@@ -165,9 +165,11 @@ TEST_F(CachePersistFixture, BitFlipInHeaderRefuses) {
 
 TEST_F(CachePersistFixture, VersionSkewRefuses) {
   std::string Skewed = SnapBytes;
-  size_t Pos = Skewed.find("schema 1 ");
+  const std::string Schema =
+      "schema " + std::to_string(CacheKeySchemaVersion) + " ";
+  size_t Pos = Skewed.find(Schema);
   ASSERT_NE(Pos, std::string::npos);
-  Skewed.replace(Pos, 9, "schema 999 ");
+  Skewed.replace(Pos, Schema.size(), "schema 999 ");
 
   Session S{PipelineOptions(), 1};
   std::string Err;
@@ -294,9 +296,11 @@ TEST_F(CachePersistFixture, MergeRefusesMismatchedInputs) {
   std::string Good = tempPath("cp_mm_good.cache");
   spit(Good, SnapBytes);
   std::string Skewed = SnapBytes;
-  size_t Pos = Skewed.find("schema 1 ");
+  const std::string Schema =
+      "schema " + std::to_string(CacheKeySchemaVersion) + " ";
+  size_t Pos = Skewed.find(Schema);
   ASSERT_NE(Pos, std::string::npos);
-  Skewed.replace(Pos, 9, "schema 999 ");
+  Skewed.replace(Pos, Schema.size(), "schema 999 ");
   std::string Bad = tempPath("cp_mm_bad.cache");
   spit(Bad, Skewed);
 

@@ -16,12 +16,10 @@ MachinePlan planWith(Rational IT, std::vector<Rational> ClusterPeriods,
   for (const Rational &C : ClusterPeriods) {
     DomainPlan D;
     D.PeriodNs = C;
-    D.FreqGHz = C.reciprocal();
     D.II = (IT / C).floor();
     P.Clusters.push_back(D);
   }
   P.Bus.PeriodNs = BusPeriod;
-  P.Bus.FreqGHz = BusPeriod.reciprocal();
   P.Bus.II = (IT / BusPeriod).floor();
   P.Cache = P.Bus;
   return P;
